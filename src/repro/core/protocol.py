@@ -42,8 +42,12 @@ if TYPE_CHECKING:
 class PreparationReport:
     """Timings of the once-per-dataset preparation stage.
 
+    ``filter_index_seconds`` times this ``prepare()``'s filter-index
+    warm-up (near zero when the graph's index was already built).
     ``from_cache`` marks reports restored from an experiment store; the
-    timing fields then describe the *original* build, not this process.
+    other timing fields then describe the *original* build, not this
+    process — the filter index is never stored, so its build is always
+    timed live.
     """
 
     recommender_name: str
@@ -51,11 +55,17 @@ class PreparationReport:
     fit_seconds: float
     candidates_seconds: float
     pools_seconds: float
+    filter_index_seconds: float = 0.0
     from_cache: bool = False
 
     @property
     def total_seconds(self) -> float:
-        return self.fit_seconds + self.candidates_seconds + self.pools_seconds
+        return (
+            self.filter_index_seconds
+            + self.fit_seconds
+            + self.candidates_seconds
+            + self.pools_seconds
+        )
 
 
 class EvaluationProtocol:
@@ -142,7 +152,9 @@ class EvaluationProtocol:
             self.seed,
         )
 
-    def _restore_preparation(self, key: str) -> PreparationReport | None:
+    def _restore_preparation(
+        self, key: str, filter_index_seconds: float
+    ) -> PreparationReport | None:
         """Reload a previous prepare() from the store, or None on miss."""
         assert self.store is not None
         artifacts = self.store.artifacts
@@ -163,6 +175,7 @@ class EvaluationProtocol:
             fit_seconds=report["fit_seconds"],
             candidates_seconds=report["candidates_seconds"],
             pools_seconds=report["pools_seconds"],
+            filter_index_seconds=filter_index_seconds,
             from_cache=True,
         )
 
@@ -204,9 +217,13 @@ class EvaluationProtocol:
         # belongs to preparation, not to any timed evaluation — on the
         # cache-restored path too, or the build would land inside the
         # first timed evaluate() call.
+        start = time.perf_counter()
         self.graph.filter_index  # noqa: B018 — deliberate cache warm-up
+        filter_index_seconds = time.perf_counter() - start
         if self.store is not None:
-            restored = self._restore_preparation(self._preparation_key())
+            restored = self._restore_preparation(
+                self._preparation_key(), filter_index_seconds
+            )
             if restored is not None:
                 self.preparation = restored
                 return restored
@@ -239,6 +256,7 @@ class EvaluationProtocol:
             fit_seconds=fit_seconds,
             candidates_seconds=candidates_seconds,
             pools_seconds=pools_seconds,
+            filter_index_seconds=filter_index_seconds,
         )
         if self.store is not None:
             self._persist_preparation(self._preparation_key(), self.preparation)
@@ -261,7 +279,9 @@ class EvaluationProtocol:
             return
         self.seed = seed
         if self.store is not None:
-            restored = self._restore_preparation(self._preparation_key())
+            restored = self._restore_preparation(
+                self._preparation_key(), self.preparation.filter_index_seconds
+            )
             if restored is not None:
                 self.preparation = restored
                 return
@@ -285,6 +305,7 @@ class EvaluationProtocol:
             fit_seconds=self.preparation.fit_seconds,
             candidates_seconds=self.preparation.candidates_seconds,
             pools_seconds=time.perf_counter() - start,
+            filter_index_seconds=self.preparation.filter_index_seconds,
         )
         if self.store is not None:
             self._persist_preparation(self._preparation_key(), self.preparation)

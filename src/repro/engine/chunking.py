@@ -9,8 +9,10 @@ Both reduce to the same pipeline —
    queries can share one matrix product (:func:`grouped_queries`);
 2. cut each group into bounded chunks so the ``b x k`` score
    intermediates stay small (:func:`plan_chunks`);
-3. rank each chunk's truths against its candidates with known true
-   answers filtered out (:func:`chunk_filtered_ranks`).
+3. gather each chunk's known true answers from the CSR filter index in
+   one pass (:func:`collect_known_answers`) and rank the truths against
+   their candidates with those answers filtered out
+   (:func:`chunk_filtered_ranks`).
 
 The only difference between the two paths is the candidate axis: the full
 protocol ranks against *every* entity, the sampled path against a
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kg.graph import SIDES, KnowledgeGraph, Side, TripleSet
+from repro.kg.graph import SIDES, FilterIndexCSR, KnowledgeGraph, Side, TripleSet
 
 Query = tuple[int, int, int, Side]
 """A ranking query: ``(head, relation, tail, side)`` where ``side`` names
@@ -142,40 +144,60 @@ def group_offsets(lengths: list[int] | np.ndarray) -> np.ndarray:
 
 
 def collect_known_answers(
-    graph: KnowledgeGraph,
-    queries: list[tuple[int, int, int, int]],
+    index: FilterIndexCSR,
+    anchors: np.ndarray,
+    truths: np.ndarray,
     relation: int,
     side: Side,
-) -> list[np.ndarray]:
-    """Per-query filtered-answer arrays, each guaranteed to contain its truth.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Known true answers of a chunk of queries, as flat ``(rows, answers)``.
 
-    For queries drawn from a graph split the truth is always in the filter
-    index; the guard covers caller-supplied triples the index never saw.
+    ``answers[j]`` is a known answer of query ``rows[j]``.  The whole chunk
+    is one composite-key ``searchsorted`` into ``index`` plus one gather
+    of the matching offset slices.  Every query's truth is guaranteed to
+    be among its answers: for queries drawn from a graph split it always
+    is, and rows whose slice lacks it (caller-supplied triples the index
+    never saw) get it appended.
     """
-    knowns: list[np.ndarray] = []
-    for anchor, truth, _, _ in queries:
-        known = graph.true_answers(anchor, relation, side)
-        if known.size == 0 or known[
-            min(int(np.searchsorted(known, truth)), known.size - 1)
-        ] != truth:
-            known = np.append(known, truth)
-        knowns.append(known)
-    return knowns
+    b = anchors.shape[0]
+    keys = index.keys[side]
+    offsets = index.offsets[side]
+    values = index.values[side]
+    wanted = np.asarray(anchors, dtype=np.int64) * index.num_relations + relation
+    positions = np.searchsorted(keys, wanted)
+    found = positions < keys.size
+    found[found] = keys[positions[found]] == wanted[found]
+    starts = offsets[positions]
+    lengths = offsets[positions + found] - starts  # zero where not found
+    rows = np.repeat(np.arange(b), lengths)
+    # Output slot -> values slot: each row's slots shift onto its slice.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    answers = values[np.arange(rows.size) + np.repeat(shift, lengths)]
+    has_truth = np.zeros(b, dtype=bool)
+    has_truth[rows[answers == truths[rows]]] = True
+    if not has_truth.all():
+        missing = np.flatnonzero(~has_truth)
+        rows = np.concatenate([rows, missing])
+        answers = np.concatenate([answers, truths[missing].astype(values.dtype)])
+    return rows, answers
 
 
 def chunk_filtered_ranks(
     scores: np.ndarray,
     true_scores: np.ndarray,
-    knowns: list[np.ndarray],
+    rows: np.ndarray,
+    answers: np.ndarray,
     pool: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised filtered ranks for one chunk of same-(relation, side) queries.
 
     ``scores`` is ``(b, k)``: row ``i`` scores the candidates of query
-    ``i``.  ``knowns[i]`` are the entity ids to exclude (known answers,
-    truth included).  With ``pool`` None the candidate axis *is* the entity
-    axis (full evaluation); otherwise ``pool`` maps columns to sorted
-    entity ids and exclusions outside the pool are ignored.
+    ``i``.  ``(rows, answers)`` are the flat exclusions of
+    :func:`collect_known_answers`: entity ``answers[j]`` is excluded from
+    query ``rows[j]`` (known answers, truth included).  With ``pool``
+    None the candidate axis *is* the entity axis (full evaluation);
+    otherwise ``pool`` maps columns to sorted entity ids and exclusions
+    outside the pool are ignored.
 
     The rank is ``1 + better + ties/2`` over non-excluded candidates; the
     exclusion is applied as a vectorised correction (one fancy-indexed
@@ -186,21 +208,16 @@ def chunk_filtered_ranks(
     b = scores.shape[0]
     better = (scores > true_scores[:, None]).sum(axis=1)
     ties = (scores == true_scores[:, None]).sum(axis=1)
-    lengths = [known.size for known in knowns]
-    if sum(lengths):
-        flat = np.concatenate(knowns)
-        row_idx = np.repeat(np.arange(b), lengths)
-        if pool is None:
-            cols = flat
-        else:
-            cols = np.searchsorted(pool, flat)
-            np.minimum(cols, pool.size - 1, out=cols)
-            valid = pool[cols] == flat
-            row_idx = row_idx[valid]
-            cols = cols[valid]
-        if row_idx.size:
-            values = scores[row_idx, cols]
-            reference = true_scores[row_idx]
-            better -= np.bincount(row_idx[values > reference], minlength=b)
-            ties -= np.bincount(row_idx[values == reference], minlength=b)
+    cols = answers
+    if pool is not None and answers.size:
+        cols = np.searchsorted(pool, answers)
+        np.minimum(cols, pool.size - 1, out=cols)
+        valid = pool[cols] == answers
+        rows = rows[valid]
+        cols = cols[valid]
+    if rows.size:
+        values = scores[rows, cols]
+        reference = true_scores[rows]
+        better -= np.bincount(rows[values > reference], minlength=b)
+        ties -= np.bincount(rows[values == reference], minlength=b)
     return 1.0 + better + ties / 2.0

@@ -218,8 +218,8 @@ class PersistentWorkerPool:
     def ensure_state(self, state: "EvaluationState") -> PublishedState:
         """Publish ``state`` unless the live published state already matches.
 
-        Matching is content-aware (model parameter digest, graph / pools
-        identity, split, sides); wrapper models that travel by pickle are
+        Matching is content-aware (model parameter digest, filter index /
+        pools identity, split, sides); wrapper models that travel by pickle are
         never considered reusable because their bytes cannot be cheaply
         fingerprinted.
         """

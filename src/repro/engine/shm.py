@@ -15,15 +15,18 @@ arrays are serialised per chunk.  This module is the replacement plane:
 * :func:`publish_state` — flattens an
   :class:`~repro.engine.worker.EvaluationState` into shared memory:
   embedding tables (zero-copy through
-  :meth:`~repro.models.base.KGEModel.parameter_arrays`), the CSR filter
-  index (:class:`~repro.kg.graph.FilterIndexCSR`), the grouped query
+  :meth:`~repro.models.base.KGEModel.parameter_arrays`), the six arrays
+  of the graph's cached filter index
+  (:meth:`~repro.kg.graph.FilterIndexCSR.arrays`), the grouped query
   table, the negative pools
   (:meth:`~repro.core.sampling.NegativePools.export_arrays`) and a
   per-query **result buffer** workers write ranks into directly —
   nothing heavier than a :class:`StateManifest` ever crosses a queue.
 * :func:`attach_state` — the worker-side inverse: attach every segment
   by name and rebuild a view-backed ``EvaluationState`` whose arrays
-  alias the parent's bytes.
+  alias the parent's bytes; the filter index comes back as a
+  :class:`~repro.kg.graph.FilterIndexCSR` over the attached views, the
+  same type the parent scores with.
 
 Models that do not expose ``parameter_arrays`` (wrapper scorers such as
 :class:`repro.bench.LatencyBoundScorer`) fall back to travelling as one
@@ -212,8 +215,9 @@ def state_fingerprint(state: "EvaluationState") -> tuple:
 
     Object ids alone would go stale when a training loop mutates model
     parameters in place between evaluations, so the model contributes a
-    digest of its parameter bytes; the graph and pools are immutable
-    after construction, so identity suffices for them.
+    digest of its parameter bytes; the filter index (cached on its graph)
+    and the pools are immutable after construction, so identity suffices
+    for them.
     """
     import hashlib
 
@@ -233,7 +237,7 @@ def state_fingerprint(state: "EvaluationState") -> tuple:
         model_key = (id(model), None)
     return (
         model_key,
-        id(state.graph),
+        id(state.index),
         id(state.pools),
         state.split,
         state.sides,
@@ -275,8 +279,7 @@ def publish_state(state: "EvaluationState") -> PublishedState:
         else:
             model_pickle = pickle.dumps(model)
 
-        csr = FilterIndexCSR.from_graph(state.graph)
-        for name, array in csr.arrays().items():
+        for name, array in state.index.arrays().items():
             arena.put(name, array)
 
         groups_meta: list[tuple[int, Side, int]] = []
@@ -304,8 +307,8 @@ def publish_state(state: "EvaluationState") -> PublishedState:
             state_id=state_id,
             arrays=arena.specs,
             groups=groups_meta,
-            num_entities=csr.num_entities,
-            num_relations=csr.num_relations,
+            num_entities=state.index.num_entities,
+            num_relations=state.index.num_relations,
             split=state.split,
             sides=state.sides,
             model_spec=model_spec,
@@ -325,20 +328,6 @@ def publish_state(state: "EvaluationState") -> PublishedState:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class SharedGraphView:
-    """The slice of :class:`~repro.kg.graph.KnowledgeGraph` chunk scoring
-    needs — filtered-answer lookups — backed by attached CSR arrays."""
-
-    def __init__(self, csr: FilterIndexCSR, name: str = "shared"):
-        self._csr = csr
-        self.name = name
-        self.num_entities = csr.num_entities
-        self.num_relations = csr.num_relations
-
-    def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        return self._csr.true_answers(anchor, relation, side)
-
-
 @dataclass
 class AttachedState:
     """A worker's live view of one published state."""
@@ -395,11 +384,6 @@ def attach_state(manifest: StateManifest) -> AttachedState:
             }
         )
 
-    csr = FilterIndexCSR.from_arrays(
-        manifest.num_entities, manifest.num_relations, arrays
-    )
-    graph = SharedGraphView(csr)
-
     queries = arrays["queries"]
     groups: list[GroupState] = []
     offset = 0
@@ -422,7 +406,9 @@ def attach_state(manifest: StateManifest) -> AttachedState:
 
     state = EvaluationState(
         model=model,
-        graph=graph,  # type: ignore[arg-type] — duck-typed true_answers view
+        index=FilterIndexCSR.from_arrays(
+            manifest.num_entities, manifest.num_relations, arrays
+        ),
         groups=groups,
         split=manifest.split,
         sides=manifest.sides,

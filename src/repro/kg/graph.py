@@ -6,8 +6,12 @@ A :class:`TripleSet` is an immutable ``(n, 3)`` integer array of
 entity/relation vocabularies and the index structures the evaluation
 framework needs:
 
-* *filter indexes* — for each ``(h, r)`` the set of known true tails across
-  all splits (and symmetrically for heads), used by filtered ranking;
+* the *filter index* — for each ``(h, r)`` the set of known true tails
+  across all splits (and symmetrically for heads), used by filtered
+  ranking.  It has one representation, the :class:`FilterIndexCSR` built
+  by :func:`build_filter_csr` in a few vectorised passes; the in-memory
+  graph, the compact on-disk store and the engine's worker processes all
+  read the same six flat arrays;
 * *observed domains & ranges* — for each relation the entities seen as its
   head (domain) or tail (range) in the training split, used by the PT
   recommender and by candidate-recall bookkeeping.
@@ -20,7 +24,7 @@ predict the tail of ``(h, r, ?)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -152,7 +156,7 @@ class KnowledgeGraph:
     name: str = "kg"
 
     def __post_init__(self) -> None:
-        self._filter_index: dict[Side, dict[tuple[int, int], np.ndarray]] | None = None
+        self._filter_index: FilterIndexCSR | None = None
         self._observed: dict[Side, dict[int, np.ndarray]] | None = None
         self._validate()
 
@@ -183,28 +187,24 @@ class KnowledgeGraph:
                 raise ValueError(f"{split_name} split references relations outside the vocabulary")
 
     # ------------------------------------------------------------------
-    # Filter indexes (filtered ranking)
+    # Filter index (filtered ranking)
     # ------------------------------------------------------------------
-    def _build_filter_index(self) -> dict[Side, dict[tuple[int, int], np.ndarray]]:
-        """Map ``(anchor_entity, relation) -> known true answers`` per side.
+    def _build_filter_index(self) -> FilterIndexCSR:
+        """The CSR index of known true answers over all three splits.
 
         For ``side == "tail"`` the anchor is the head: the index answers
         "which tails are known true for ``(h, r, ?)``" across *all* splits,
         which is exactly the set filtered ranking must exclude (minus the
         query's own answer).
         """
-        index: dict[Side, dict[tuple[int, int], list[int]]] = {HEAD: {}, TAIL: {}}
-        for h, r, t in self.all_triples:
-            index[TAIL].setdefault((h, r), []).append(t)
-            index[HEAD].setdefault((t, r), []).append(h)
-        dtype = id_dtype(self.num_entities)
-        return {
-            side: {key: np.unique(np.asarray(vals, dtype=dtype)) for key, vals in mapping.items()}
-            for side, mapping in index.items()
-        }
+        return build_filter_csr(
+            self.num_entities,
+            self.num_relations,
+            [self.train.array, self.valid.array, self.test.array],
+        )
 
     @property
-    def filter_index(self) -> dict[Side, dict[tuple[int, int], np.ndarray]]:
+    def filter_index(self) -> FilterIndexCSR:
         if self._filter_index is None:
             self._filter_index = self._build_filter_index()
         return self._filter_index
@@ -215,21 +215,23 @@ class KnowledgeGraph:
         ``side == "tail"``: true tails of ``(anchor, relation, ?)``.
         ``side == "head"``: true heads of ``(?, relation, anchor)``.
         """
-        return self.filter_index[side].get((anchor, relation), np.empty(0, dtype=np.int64))
+        return self.filter_index.true_answers(anchor, relation, side)
 
     # ------------------------------------------------------------------
     # Observed domains & ranges (training split only)
     # ------------------------------------------------------------------
     def _build_observed(self) -> dict[Side, dict[int, np.ndarray]]:
-        observed: dict[Side, dict[int, set[int]]] = {HEAD: {}, TAIL: {}}
-        for h, r, t in self.train:
-            observed[HEAD].setdefault(r, set()).add(h)
-            observed[TAIL].setdefault(r, set()).add(t)
         dtype = id_dtype(self.num_entities)
-        return {
-            side: {r: np.asarray(sorted(vals), dtype=dtype) for r, vals in mapping.items()}
-            for side, mapping in observed.items()
-        }
+        observed: dict[Side, dict[int, np.ndarray]] = {}
+        for side in SIDES:
+            relations, offsets, entities = _group_sorted_unique(
+                self.train.relations, self.train.entities(side), dtype
+            )
+            observed[side] = {
+                int(relation): entities[offsets[i] : offsets[i + 1]]
+                for i, relation in enumerate(relations)
+            }
+        return observed
 
     @property
     def observed_entities(self) -> dict[Side, dict[int, np.ndarray]]:
@@ -240,7 +242,9 @@ class KnowledgeGraph:
 
     def observed(self, relation: int, side: Side) -> np.ndarray:
         """Entities observed in training on ``side`` of ``relation``."""
-        return self.observed_entities[side].get(relation, np.empty(0, dtype=np.int64))
+        return self.observed_entities[side].get(
+            relation, np.empty(0, dtype=id_dtype(self.num_entities))
+        )
 
     # ------------------------------------------------------------------
     # Degree statistics
@@ -285,24 +289,49 @@ class KnowledgeGraph:
         )
 
 
+def _group_sorted_unique(
+    keys: np.ndarray, values: np.ndarray, value_dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ``(key, value)`` pairs into CSR form.
+
+    Returns ``(unique_keys, offsets, grouped)``: the sorted distinct keys,
+    ``len(unique_keys) + 1`` int64 prefix offsets, and every key's sorted,
+    duplicate-free values concatenated in key order — one ``lexsort`` and
+    two shifted comparisons, no Python loop.
+    """
+    order = np.lexsort((values, keys))
+    keys = keys[order]
+    grouped = values[order].astype(value_dtype, copy=False)
+    new_key = np.ones(keys.size, dtype=bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    fresh = new_key.copy()
+    fresh[1:] |= grouped[1:] != grouped[:-1]
+    keys, grouped, new_key = keys[fresh], grouped[fresh], new_key[fresh]
+    starts = np.flatnonzero(new_key)
+    offsets = np.append(starts, keys.size).astype(np.int64)
+    return keys[starts], offsets, np.ascontiguousarray(grouped)
+
+
 @dataclass
 class FilterIndexCSR:
-    """The filter index flattened into three arrays per side (CSR form).
+    """The filter index: known true answers per query, in CSR form.
 
-    The dict-of-arrays :attr:`KnowledgeGraph.filter_index` is the right
-    shape for in-process lookups but cannot cross a process boundary
-    without pickling every entry.  This form packs one side into
+    For each ``(anchor, relation)`` pair and side the index holds the
+    sorted, unique set of known true answers across all splits — exactly
+    what filtered ranking must exclude.  One side is three flat arrays:
 
-    * ``keys`` — sorted ``anchor * num_relations + relation`` composite
-      keys, one per non-empty ``(anchor, relation)`` pair;
-    * ``offsets`` — ``len(keys) + 1`` prefix offsets into ``values``;
-    * ``values`` — all known true answers, concatenated in key order.
+    * ``keys`` — sorted int64 ``anchor * num_relations + relation``
+      composite keys, one per non-empty ``(anchor, relation)`` pair;
+    * ``offsets`` — ``len(keys) + 1`` int64 prefix offsets into ``values``;
+    * ``values`` — all known true answers, concatenated in key order, in
+      :func:`id_dtype`.
 
-    All six arrays (two sides) are plain contiguous int64 buffers, so
-    they can live in ``multiprocessing.shared_memory`` and be attached
-    zero-copy by worker processes (:mod:`repro.engine.shm`).  Lookups
-    are one ``searchsorted`` per query — the same answers, byte for
-    byte, as :meth:`KnowledgeGraph.true_answers`.
+    All six arrays (two sides) are plain contiguous buffers, so the same
+    index serves in-process lookups and lives in
+    ``multiprocessing.shared_memory`` for worker processes
+    (:mod:`repro.engine.shm`).  A single lookup is one ``searchsorted``;
+    a chunk of queries is gathered at once by
+    :func:`repro.engine.chunking.collect_known_answers`.
     """
 
     num_entities: int
@@ -311,57 +340,13 @@ class FilterIndexCSR:
     offsets: dict[Side, np.ndarray]
     values: dict[Side, np.ndarray]
 
-    @classmethod
-    def from_graph(cls, graph: "KnowledgeGraph") -> "FilterIndexCSR":
-        """Flatten ``graph.filter_index`` (building it if necessary).
-
-        Graph-like objects that already maintain a CSR index (for example
-        the out-of-core :class:`repro.kg.triples.CompactGraph`) can expose
-        a ``filter_csr()`` method; it is used directly so the dict index
-        is never materialized for large vocabularies.
-        """
-        maker = getattr(graph, "filter_csr", None)
-        if callable(maker):
-            return maker()
-        keys: dict[Side, np.ndarray] = {}
-        offsets: dict[Side, np.ndarray] = {}
-        values: dict[Side, np.ndarray] = {}
-        num_relations = graph.num_relations
-        for side in SIDES:
-            mapping = graph.filter_index[side]
-            composite = np.asarray(
-                [anchor * num_relations + relation for anchor, relation in mapping],
-                dtype=np.int64,
-            )
-            order = np.argsort(composite, kind="stable")
-            answer_lists = list(mapping.values())
-            keys[side] = composite[order]
-            lengths = np.asarray(
-                [answer_lists[i].size for i in order], dtype=np.int64
-            )
-            offsets[side] = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(lengths)]
-            )
-            values[side] = (
-                np.concatenate([answer_lists[i] for i in order])
-                if len(order)
-                else np.empty(0, dtype=np.int64)
-            )
-        return cls(
-            num_entities=graph.num_entities,
-            num_relations=graph.num_relations,
-            keys=keys,
-            offsets=offsets,
-            values=values,
-        )
-
     def true_answers(self, anchor: int, relation: int, side: Side) -> np.ndarray:
-        """Known true answers for one query — equal to the dict index's."""
+        """Known true answers for one query (empty if none are known)."""
         keys = self.keys[side]
         key = anchor * self.num_relations + relation
         position = int(np.searchsorted(keys, key))
         if position >= keys.size or keys[position] != key:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=self.values[side].dtype)
         offsets = self.offsets[side]
         return self.values[side][offsets[position] : offsets[position + 1]]
 
@@ -386,6 +371,43 @@ class FilterIndexCSR:
             offsets={side: arrays[f"filter_{side}_offsets"] for side in SIDES},
             values={side: arrays[f"filter_{side}_values"] for side in SIDES},
         )
+
+
+def build_filter_csr(
+    num_entities: int,
+    num_relations: int,
+    split_arrays: Sequence[np.ndarray],
+) -> FilterIndexCSR:
+    """Build the filter index from raw ``(n, 3)`` triple arrays.
+
+    Per side, the triples are grouped by the composite key
+    ``anchor * num_relations + relation`` with duplicate answers dropped
+    (:func:`_group_sorted_unique`).  Composite keys are int64 (they can
+    exceed int32 even when ids fit); answers use :func:`id_dtype`.
+    """
+    arrays = [np.asarray(a) for a in split_arrays if np.asarray(a).shape[0]]
+    if arrays:
+        triples = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+    else:
+        triples = np.empty((0, 3), dtype=np.int64)
+    value_dtype = id_dtype(num_entities)
+    relations = triples[:, 1].astype(np.int64, copy=False)
+    keys: dict[Side, np.ndarray] = {}
+    offsets: dict[Side, np.ndarray] = {}
+    values: dict[Side, np.ndarray] = {}
+    for side in SIDES:
+        anchor = triples[:, 2] if side == HEAD else triples[:, 0]
+        answer = triples[:, 0] if side == HEAD else triples[:, 2]
+        keys[side], offsets[side], values[side] = _group_sorted_unique(
+            anchor.astype(np.int64) * num_relations + relations, answer, value_dtype
+        )
+    return FilterIndexCSR(
+        num_entities=num_entities,
+        num_relations=num_relations,
+        keys=keys,
+        offsets=offsets,
+        values=values,
+    )
 
 
 def build_graph(

@@ -118,3 +118,21 @@ def small_dataset():
 def codex_s():
     """The smallest zoo dataset (cached across the whole test session)."""
     return load("codex-s-lite")
+
+
+def _set_scan_answers(triples, anchor: int, relation: int, side: str) -> list[int]:
+    """Known true answers of one query by a plain scan over raw triples."""
+    answers = set()
+    for h, r, t in triples:
+        h, r, t = int(h), int(r), int(t)
+        if r == relation and (t if side == "head" else h) == anchor:
+            answers.add(h if side == "head" else t)
+    return sorted(answers)
+
+
+@pytest.fixture(scope="session")
+def set_scan_answers():
+    """The naive filter-index reference: ``(triples, anchor, relation,
+    side) -> sorted known answers``, deliberately loop-only so every fast
+    index path can be checked against it."""
+    return _set_scan_answers

@@ -49,8 +49,40 @@ class TestPrepare:
     def test_report_totals(self, codex_s):
         report = EvaluationProtocol(codex_s.graph, strategy="static").prepare()
         assert report.total_seconds == pytest.approx(
-            report.fit_seconds + report.candidates_seconds + report.pools_seconds
+            report.filter_index_seconds
+            + report.fit_seconds
+            + report.candidates_seconds
+            + report.pools_seconds
         )
+
+
+    def test_report_times_the_filter_index_build(self, codex_s, tmp_path, monkeypatch):
+        """The index build is part of prepare() and of its report — also
+        when the rest of the preparation is restored from a store."""
+        import time
+
+        from repro.kg import KnowledgeGraph
+        from repro.store import ExperimentStore
+
+        original = KnowledgeGraph._build_filter_index
+
+        def slow_build(graph):
+            time.sleep(0.05)
+            return original(graph)
+
+        monkeypatch.setattr(KnowledgeGraph, "_build_filter_index", slow_build)
+        store = ExperimentStore(tmp_path / "store")
+        reports = []
+        for _ in range(2):
+            graph = codex_s.graph.relabel(codex_s.graph.name)  # no cached index
+            reports.append(
+                EvaluationProtocol(graph, strategy="static", store=store).prepare()
+            )
+        built, restored = reports
+        assert not built.from_cache and restored.from_cache
+        for report in reports:
+            assert report.filter_index_seconds >= 0.05
+            assert report.total_seconds >= report.filter_index_seconds
 
 
 class TestEvaluate:

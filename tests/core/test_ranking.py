@@ -42,7 +42,8 @@ class TestChunkFilteredRanks:
             np.unique(np.append(rng.integers(20, size=3), truths[i]))
             for i in range(5)
         ]
-        ranks = chunk_filtered_ranks(scores, true_scores, knowns)
+        rows = np.repeat(np.arange(5), [known.size for known in knowns])
+        ranks = chunk_filtered_ranks(scores, true_scores, rows, np.concatenate(knowns))
         for i in range(5):
             expected = filtered_rank(scores[i], int(truths[i]), knowns[i])
             assert ranks[i] == pytest.approx(expected)
@@ -51,8 +52,9 @@ class TestChunkFilteredRanks:
         pool = np.array([2, 5, 9, 14])
         scores = rng.standard_normal((2, 4))
         true_scores = np.array([10.0, -10.0])  # truth not in pool
-        knowns = [np.array([5, 100]), np.array([3])]  # 100 and 3 not in pool
-        ranks = chunk_filtered_ranks(scores, true_scores, knowns, pool=pool)
+        # Query 0 excludes 5 and 100, query 1 excludes 3; 100 and 3 are not in pool.
+        rows, answers = np.array([0, 0, 1]), np.array([5, 100, 3])
+        ranks = chunk_filtered_ranks(scores, true_scores, rows, answers, pool=pool)
         # Query 0: truth outranks everything -> rank 1.
         assert ranks[0] == 1.0
         # Query 1: all four pool scores beat -10 -> rank 5.
@@ -60,7 +62,8 @@ class TestChunkFilteredRanks:
 
     def test_empty_knowns(self, rng):
         scores = np.asarray([[1.0, 2.0, 3.0]])
-        ranks = chunk_filtered_ranks(scores, np.array([2.5]), [np.empty(0, dtype=np.int64)])
+        empty = np.empty(0, dtype=np.int64)
+        ranks = chunk_filtered_ranks(scores, np.array([2.5]), empty, empty)
         assert ranks[0] == 2.0
 
 

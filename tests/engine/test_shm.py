@@ -142,3 +142,63 @@ class TestStateFingerprint:
         test_state = build_state(model, tiny_graph, "test")
         valid_state = build_state(model, tiny_graph, "valid")
         assert state_fingerprint(test_state) != state_fingerprint(valid_state)
+
+
+class TestFilterIndexPublication:
+    """Republishing fresh checkpoints reuses the graph's one cached index."""
+
+    def test_three_checkpoints_do_no_filter_index_work(self, tiny_graph, monkeypatch):
+        from repro.engine import PersistentWorkerPool
+        from repro.kg import KnowledgeGraph
+
+        builds = []
+        original = KnowledgeGraph._build_filter_index
+
+        def counting_build(graph):
+            builds.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(KnowledgeGraph, "_build_filter_index", counting_build)
+        model = build_model(
+            "distmult", tiny_graph.num_entities, tiny_graph.num_relations, dim=4, seed=0
+        )
+        expected = tiny_graph.filter_index.arrays()
+        pool = PersistentWorkerPool(1)
+        try:
+            for checkpoint in range(3):
+                # A training step between evaluations: a fresh checkpoint.
+                next(iter(model.parameter_arrays().values()))[...] += 0.5
+                state = build_state(model, tiny_graph, "test")
+                published = pool.ensure_state(state)
+                for name, array in expected.items():
+                    shared = published.arena.view(name)
+                    assert shared.dtype == array.dtype
+                    np.testing.assert_array_equal(shared, array)
+                tasks = plan_chunks(
+                    [((g.relation, g.side), g.queries) for g in state.groups], 128
+                )
+                for (ranks, _), task in zip(pool.run_tasks(state, tasks), tasks):
+                    np.testing.assert_array_equal(ranks, score_chunk(state, task)[0])
+            assert pool.states_published == 3
+        finally:
+            pool.shutdown()
+        assert len(builds) == 1
+
+    def test_attached_index_returns_the_parents_answers(self, tiny_state, tiny_graph):
+        published = publish_state(tiny_state)
+        attached = None
+        try:
+            attached = attach_state(published.manifest)
+            index = attached.state.index
+            for side in ("head", "tail"):
+                for anchor in range(tiny_graph.num_entities):
+                    for relation in range(tiny_graph.num_relations):
+                        ours = index.true_answers(anchor, relation, side)
+                        theirs = tiny_graph.true_answers(anchor, relation, side)
+                        assert ours.dtype == theirs.dtype
+                        np.testing.assert_array_equal(ours, theirs)
+        finally:
+            index = None
+            if attached is not None:
+                attached.close()
+            published.close()

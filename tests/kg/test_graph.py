@@ -88,9 +88,13 @@ class TestFilterIndex:
         assert tiny_graph.true_answers(5, 1, TAIL).size == 0
 
     def test_answers_are_sorted_unique(self, tiny_graph):
+        index = tiny_graph.filter_index
         for side in (HEAD, TAIL):
-            for key, values in tiny_graph.filter_index[side].items():
-                assert np.all(np.diff(values) > 0), key
+            offsets = index.offsets[side]
+            assert np.all(np.diff(index.keys[side]) > 0)
+            for key, start, stop in zip(index.keys[side], offsets[:-1], offsets[1:]):
+                assert stop > start, key
+                assert np.all(np.diff(index.values[side][start:stop]) > 0), key
 
 
 class TestObserved:

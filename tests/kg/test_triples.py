@@ -60,10 +60,12 @@ class TestIdDtype:
 
     def test_filter_index_buffers_downcast(self, graph):
         index = graph.filter_index
-        for answers in index["head"].values():
-            assert answers.dtype == np.int32
-        for answers in index["tail"].values():
-            assert answers.dtype == np.int32
+        for side in ("head", "tail"):
+            assert index.values[side].dtype == np.int32
+            # Composite keys and offsets stay int64 whatever the vocabulary.
+            assert index.keys[side].dtype == np.int64
+            assert index.offsets[side].dtype == np.int64
+        assert graph.true_answers(0, 0, "tail").dtype == np.int32
 
     def test_observed_buffers_downcast(self, graph):
         assert graph.observed(0, "head").dtype == np.int32
@@ -89,25 +91,34 @@ class TestUniqueRowsInOrder:
         assert unique_rows_in_order(rows).shape == (0, 3)
 
 
-class TestBuildFilterCSR:
-    """The vectorised CSR build must match the dict-index flatten exactly."""
+def _every_query(graph):
+    for side in ("head", "tail"):
+        for anchor in range(graph.num_entities):
+            for relation in range(graph.num_relations):
+                yield anchor, relation, side
 
-    def test_matches_dict_filter_index(self, graph):
+
+class TestBuildFilterCSR:
+    """The vectorised CSR build must match a naive set-scan exactly."""
+
+    def test_matches_set_scan_reference(self, graph, set_scan_answers):
         csr = build_filter_csr(
             graph.num_entities,
             graph.num_relations,
             [getattr(graph, split).array for split in ("train", "valid", "test")],
         )
-        index = graph.filter_index
-        for side in ("head", "tail"):
-            for (anchor, relation), expected in index[side].items():
-                got = csr.true_answers(int(anchor), int(relation), side)
-                np.testing.assert_array_equal(got, expected)
-                assert got.dtype == expected.dtype
+        triples = graph.all_triples
+        for anchor, relation, side in _every_query(graph):
+            got = csr.true_answers(anchor, relation, side)
+            assert got.tolist() == set_scan_answers(triples, anchor, relation, side)
+            assert got.dtype == np.int32
 
     def test_missing_key_is_empty(self, graph):
-        csr = FilterIndexCSR.from_graph(graph)
-        assert csr.true_answers(5, 2, "head").size == 0
+        csr = graph.filter_index
+        assert isinstance(csr, FilterIndexCSR)
+        missing = csr.true_answers(5, 2, "head")
+        assert missing.size == 0
+        assert missing.dtype == np.int32
 
 
 class TestCompactRoundTrip:
@@ -139,19 +150,23 @@ class TestCompactRoundTrip:
             )
         assert list(back.entities.labels()) == list(graph.entities.labels())
 
-    def test_filter_index_property_serves_csr(self, graph, compact):
+    def test_filter_index_property_serves_csr(self, graph, compact, set_scan_answers):
         csr = compact.filter_index
-        assert csr is compact.filter_csr()
-        index = graph.filter_index
-        for side in ("head", "tail"):
-            for (anchor, relation), expected in index[side].items():
-                np.testing.assert_array_equal(
-                    compact.true_answers(int(anchor), int(relation), side),
-                    expected,
-                )
+        assert isinstance(csr, FilterIndexCSR)
+        assert compact.filter_index is csr  # built once, lazily
+        triples = graph.all_triples
+        for anchor, relation, side in _every_query(graph):
+            assert compact.true_answers(anchor, relation, side).tolist() == (
+                set_scan_answers(triples, anchor, relation, side)
+            )
 
-    def test_from_graph_dispatches_to_compact_csr(self, compact):
-        assert FilterIndexCSR.from_graph(compact) is compact.filter_csr()
+    def test_compact_and_memory_indexes_are_byte_equal(self, graph, compact):
+        memory = graph.filter_index.arrays()
+        mapped = compact.filter_index.arrays()
+        assert memory.keys() == mapped.keys()
+        for name, array in memory.items():
+            assert mapped[name].dtype == array.dtype, name
+            assert mapped[name].tobytes() == array.tobytes(), name
 
     def test_manifest_validation_rejects_foreign_format(self, tmp_path, graph):
         save_compact(graph, tmp_path / "store")
