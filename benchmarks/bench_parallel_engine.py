@@ -26,12 +26,17 @@ Three claims, all asserted:
    win shrinks to per-run pool churn — is reported
    (``cpu_bound_speedup_fork``) but not asserted.
 
-   Measured honestly: this container is single-core, so parallel-vs-
-   serial scaling of genuinely CPU-bound work is physically ~1x here and
-   is reported (``cpu_bound_parallel_vs_serial``) but not asserted — it
-   is a fact about the host, not the engine.  What the engine *can* win
-   on any host is the transport overhead, and that is what the floor
-   pins.
+   Both transports cap every worker at the same BLAS thread budget,
+   ``max(1, usable_cores // workers)``, so the two ratios compare like
+   with like.
+
+   Measured honestly: the committed numbers come from a 2-core host
+   (``nproc`` = 2), where serial scoring already uses both cores through
+   multi-threaded BLAS.  Parallel-vs-serial scaling of genuinely
+   CPU-bound work is therefore reported (``cpu_bound_parallel_vs_serial``)
+   but not asserted — it is a fact about the host, not the engine.  What
+   the engine *can* win on any host is the transport overhead, and that
+   is what the floor pins.
 """
 
 from __future__ import annotations

@@ -72,6 +72,10 @@ class AnalysisConfig:
     #: page whose metric table must match the code (R007).
     metrics_docs: str = "docs/observability.md"
 
+    #: Packages whose process entry points (``Process(target=)``,
+    #: ``Pool(initializer=)``) must apply the BLAS budget (R009).
+    worker_entry_packages: tuple[str, ...] = ("repro.engine",)
+
 
 @dataclass
 class ImportEdge:
@@ -115,6 +119,28 @@ def _module_name_for(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
+def import_from_base(
+    node: ast.ImportFrom, module: str, is_package: bool
+) -> str | None:
+    """The dotted module a ``from ... import`` statement in *module* reads.
+
+    Relative imports resolve against *module*: for a module ``a.b.c``,
+    ``from . import x`` refers to package ``a.b``, ``from .. import x``
+    to ``a``.  In a package ``__init__`` the level counts from the
+    package itself, one step shallower.
+    """
+    if not node.level:
+        return node.module or None
+    base_parts = module.split(".")
+    strip = node.level - 1 if is_package else node.level
+    if len(base_parts) < strip:
+        return None
+    base = ".".join(base_parts[: len(base_parts) - strip])
+    if node.module:
+        base = f"{base}.{node.module}" if base else node.module
+    return base or None
+
+
 def _collect_imports(
     tree: ast.Module, module: str, is_package: bool
 ) -> list[ImportEdge]:
@@ -130,20 +156,7 @@ def _collect_imports(
                         ImportEdge(".".join(pieces[:depth]), node.lineno)
                     )
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                # Relative import: for a module `a.b.c`, `from . import x`
-                # refers to package `a.b`, `from .. import x` to `a`.  In
-                # a package __init__ the level counts from the package
-                # itself, one step shallower.
-                base_parts = module.split(".")
-                strip = node.level - 1 if is_package else node.level
-                if len(base_parts) < strip:
-                    continue
-                base = ".".join(base_parts[: len(base_parts) - strip])
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            else:
-                base = node.module or ""
+            base = import_from_base(node, module, is_package)
             if not base:
                 continue
             edges.append(ImportEdge(base, node.lineno))

@@ -9,6 +9,7 @@ cares.
 from __future__ import annotations
 
 from . import (  # noqa: F401  (imported for registration side effect)
+    blas,
     excepts,
     exports,
     hotpath,
@@ -20,6 +21,7 @@ from . import (  # noqa: F401  (imported for registration side effect)
 )
 
 __all__ = [
+    "blas",
     "excepts",
     "exports",
     "hotpath",

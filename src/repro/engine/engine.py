@@ -34,6 +34,7 @@ import multiprocessing
 import numpy as np
 
 from repro.engine.aggregator import RankAccumulator
+from repro.engine.blas import blas_budget
 from repro.engine.chunking import DEFAULT_CHUNK_SIZE, ChunkTask, Query, plan_chunks
 from repro.engine.pool import (
     PersistentWorkerPool,
@@ -265,7 +266,7 @@ class EvaluationEngine:
         with context.Pool(
             processes=workers,
             initializer=initialize_worker,
-            initargs=(state,),
+            initargs=(state, blas_budget(workers)),
         ) as pool:
             # imap preserves submission order, so the merge is
             # schedule-ordered no matter which worker finishes first.

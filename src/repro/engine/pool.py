@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.engine.blas import blas_budget
 from repro.engine.chunking import group_offsets
 from repro.engine.shm import PublishedState, publish_state, state_fingerprint
 from repro.obs import get_registry, get_tracer
@@ -156,6 +157,11 @@ class PersistentWorkerPool:
 
         self.workers = workers
         self.start_method = resolve_start_method(start_method)
+        #: BLAS threads each worker caps itself at before scoring.
+        self.blas_threads_per_worker = blas_budget(workers)
+        #: Each worker's effective BLAS thread count, from its last
+        #: ``("ready", ...)`` ack (``None`` until then, or without OpenBLAS).
+        self.worker_blas_threads: list[int | None] = [None] * workers
         self.started_at = time.time()
         self.runs_completed = 0
         self.states_published = 0
@@ -169,7 +175,12 @@ class PersistentWorkerPool:
         self._processes = [
             context.Process(
                 target=worker_main,
-                args=(worker_id, self._task_queues[worker_id], self._result_queue),
+                args=(
+                    worker_id,
+                    self._task_queues[worker_id],
+                    self._result_queue,
+                    self.blas_threads_per_worker,
+                ),
                 daemon=True,
                 name=f"repro-engine-{worker_id}",
             )
@@ -186,6 +197,7 @@ class PersistentWorkerPool:
             pool=self.label,
             workers=workers,
             start_method=self.start_method,
+            blas_threads_per_worker=self.blas_threads_per_worker,
             pids=self.worker_pids(),
         )
 
@@ -242,6 +254,7 @@ class PersistentWorkerPool:
                 message = self._next_message(deadline, waiting_for="state attach")
                 if message[0] == "ready":
                     attach_seconds[message[1]] = float(message[3])
+                    self.worker_blas_threads[message[1]] = message[4]
                 elif message[0] == "error":
                     raise EngineWorkerError(
                         f"worker failed to attach shared state:\n{message[2]}"

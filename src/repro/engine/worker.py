@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.blas import blas_threads, limit_blas_threads
 from repro.engine.chunking import (
     ChunkTask,
     chunk_filtered_ranks,
@@ -137,15 +138,23 @@ def score_chunk(state: EvaluationState, task: ChunkTask) -> tuple[np.ndarray, in
 # ----------------------------------------------------------------------
 # Persistent-pool worker loop (transport="shm")
 # ----------------------------------------------------------------------
-def worker_main(worker_id: int, task_queue, result_queue) -> None:
+def worker_main(
+    worker_id: int, task_queue, result_queue, blas_budget: int
+) -> None:
     """The long-lived loop of one persistent shared-memory pool worker.
+
+    Before anything else the worker caps its BLAS libraries at
+    ``blas_budget`` threads (:func:`repro.engine.blas.limit_blas_threads`),
+    so the pool's workers share the cores instead of each running one
+    BLAS thread per core.
 
     Messages on ``task_queue``:
 
     * ``("state", manifest)`` — attach a freshly published state
       (:func:`repro.engine.shm.attach_state`), replacing any previous
       one, and acknowledge with ``("ready", worker_id, state_id,
-      attach_seconds)``;
+      attach_seconds, blas_threads)``, the last being the lowest thread
+      count over the worker's loaded BLAS libraries (``None`` if none);
     * ``("task", state_id, index, task, offset, meta)`` — score one
       chunk with :func:`score_chunk` against the attached state, write
       the ranks directly into the shared result buffer at ``offset``,
@@ -170,6 +179,7 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
     (which then tears the pool down deliberately), not race ``N`` workers
     into dying mid-write.
     """
+    limit_blas_threads(blas_budget)
     import signal
     import time
     import traceback
@@ -201,8 +211,9 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                 attach_start = time.perf_counter()
                 attached = attach_state(message[1])
                 attach_seconds = time.perf_counter() - attach_start
+                threads = min(blas_threads().values(), default=None)
                 result_queue.put(
-                    ("ready", worker_id, attached.state_id, attach_seconds)
+                    ("ready", worker_id, attached.state_id, attach_seconds, threads)
                 )
             elif kind == "task":
                 _, state_id, index, task, offset, meta = message
@@ -268,14 +279,16 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
 _WORKER_STATE: EvaluationState | None = None
 
 
-def initialize_worker(state: EvaluationState) -> None:
-    """Pool initializer: adopt the parent's already-built state.
+def initialize_worker(state: EvaluationState, blas_budget: int) -> None:
+    """Pool initializer: cap BLAS threads, adopt the parent's built state.
 
     The parent builds the state (groups, filter index) exactly once and
     hands it over here — inherited copy-on-write under ``fork``, pickled
     once per worker under ``spawn`` — so workers never repeat the
-    O(split) grouping work.
+    O(split) grouping work.  The BLAS budget is the one
+    :func:`worker_main` applies.
     """
+    limit_blas_threads(blas_budget)
     global _WORKER_STATE
     _WORKER_STATE = state
 

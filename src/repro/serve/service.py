@@ -378,6 +378,8 @@ class LinkPredictionService:
                 "start_method": pool.start_method,
                 "runs_completed": pool.runs_completed,
                 "states_published": pool.states_published,
+                "blas_threads_per_worker": pool.blas_threads_per_worker,
+                "worker_blas_threads": list(pool.worker_blas_threads),
                 "evaluations": self._evaluations_total,
             }
 

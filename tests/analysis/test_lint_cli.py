@@ -152,7 +152,9 @@ class TestListRules:
     def test_catalog_names_every_rule(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008"):
+        for code in (
+            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008", "R009"
+        ):
             assert code in out
 
 

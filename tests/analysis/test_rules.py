@@ -552,6 +552,119 @@ class TestR008:
 
 
 # ----------------------------------------------------------------------
+# R009 — worker entry points apply the BLAS budget
+# ----------------------------------------------------------------------
+def _entry_config() -> AnalysisConfig:
+    return AnalysisConfig(worker_entry_packages=("pkg",))
+
+
+_CAPPED_WORKER = """
+from pkg.blas import limit_blas_threads
+
+def worker_main(queue, budget):
+    limit_blas_threads(budget)
+    queue.get()
+"""
+
+
+class TestR009:
+    def test_fires_on_uncapped_process_target(self, tmp_path):
+        make_package(
+            tmp_path,
+            {
+                "pool.py": """
+                import multiprocessing
+
+                def worker_main(queue):
+                    queue.get()
+
+                def start(queue):
+                    multiprocessing.Process(target=worker_main, args=(queue,)).start()
+                """
+            },
+        )
+        found = violations_of(tmp_path, "R009", _entry_config())
+        assert len(found) == 1
+        assert "worker_main does not call limit_blas_threads" in found[0].message
+
+    def test_fires_on_uncapped_imported_pool_initializer(self, tmp_path):
+        make_package(
+            tmp_path,
+            {
+                "worker.py": "def initialize(state):\n    return state\n",
+                "engine.py": """
+                import multiprocessing
+                from pkg.worker import initialize
+
+                def run(state):
+                    context = multiprocessing.get_context("spawn")
+                    with context.Pool(2, initialize, (state,)) as pool:
+                        return pool
+                """,
+            },
+        )
+        found = violations_of(tmp_path, "R009", _entry_config())
+        assert len(found) == 1
+        assert found[0].path.endswith("engine.py")
+
+    def test_fires_on_unresolvable_entry_point(self, tmp_path):
+        make_package(
+            tmp_path,
+            {
+                "pool.py": (
+                    "import multiprocessing\n"
+                    "def start(q):\n"
+                    "    multiprocessing.Process(target=lambda: q.get()).start()\n"
+                )
+            },
+        )
+        found = violations_of(tmp_path, "R009", _entry_config())
+        assert len(found) == 1
+        assert "does not resolve" in found[0].message
+
+    def test_quiet_when_entry_points_cap(self, tmp_path):
+        make_package(
+            tmp_path,
+            {
+                "blas.py": "def limit_blas_threads(n):\n    return {}\n",
+                "worker.py": _CAPPED_WORKER,
+                "pool.py": """
+                import multiprocessing
+
+                def start(queue):
+                    from .worker import worker_main
+
+                    multiprocessing.Process(
+                        target=worker_main, args=(queue, 1)
+                    ).start()
+                    with multiprocessing.Pool(initializer=worker_main) as pool:
+                        return pool
+                """,
+            },
+        )
+        assert violations_of(tmp_path, "R009", _entry_config()) == []
+
+    def test_other_packages_unchecked(self, tmp_path):
+        make_package(
+            tmp_path,
+            {
+                "pool.py": (
+                    "import multiprocessing\n"
+                    "def work():\n    return 1\n"
+                    "multiprocessing.Process(target=work)\n"
+                )
+            },
+        )
+        config = AnalysisConfig(worker_entry_packages=("elsewhere",))
+        assert violations_of(tmp_path, "R009", config) == []
+
+    def test_real_engine_entry_points_cap(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        report = run_analysis([src], src.parent, select=["R009"])
+        assert [str(v) for v in report.violations] == []
+
+
+# ----------------------------------------------------------------------
 # Engine mechanics: noqa, select/ignore, syntax errors
 # ----------------------------------------------------------------------
 class TestEngine:

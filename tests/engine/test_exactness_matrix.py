@@ -6,6 +6,11 @@ transport republishes nothing per run and workers write ranks straight
 into the shared buffer — none of which may change a single bit relative
 to the serial in-process path.  Start methods the platform lacks (fork
 on Windows / macOS-spawn-default setups) skip cleanly.
+
+codex-s-lite is too small for the parent's OpenBLAS to split a GEMM
+across threads, so :class:`TestThreadedBlas` repeats the full-ranking
+check on wikikg2-xl (24,445 entities), where the serial path runs
+multi-threaded BLAS and each pool worker runs on its capped budget.
 """
 
 from __future__ import annotations
@@ -114,6 +119,31 @@ class TestExactnessMatrix:
         baseline = sampled_baselines[dtype]
         assert result.ranks == baseline.ranks
         assert result.metrics == baseline.metrics
+
+
+@pytest.fixture(scope="module")
+def xl_graph():
+    from repro.datasets.zoo import load
+
+    return load("wikikg2-xl").graph
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestThreadedBlas:
+    def test_capped_workers_match_threaded_serial(self, xl_graph, dtype):
+        assert xl_graph.num_entities >= 20_000
+        model = build_model(
+            "complex",
+            xl_graph.num_entities,
+            xl_graph.num_relations,
+            dim=32,
+            seed=0,
+            dtype=dtype,
+        )
+        serial = evaluate_full(model, xl_graph, workers=1)
+        parallel = evaluate_full(model, xl_graph, workers=2, transport="shm")
+        assert parallel.ranks == serial.ranks
+        assert parallel.metrics == serial.metrics
 
 
 class TestTransportParity:

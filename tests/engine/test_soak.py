@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import EvaluationEngine, get_engine_pool
+from repro.engine.blas import blas_budget
 from repro.engine.shm import SHM_BYTES_GAUGE, SHM_SEGMENTS_GAUGE
 from repro.models import build_model
 from repro.obs import get_registry
@@ -91,4 +92,9 @@ class TestServeSoak:
             assert stats["states_published"] == 1  # one publish, nine reuses
             assert stats["evaluations"] == 10
             assert service.health()["engine_pool"]["runs_completed"] == 10
+            budget = stats["blas_threads_per_worker"]
+            assert budget == blas_budget(2)
+            assert len(stats["worker_blas_threads"]) == 2
+            for threads in stats["worker_blas_threads"]:
+                assert threads is None or threads <= budget
         assert service.engine_pool_stats()["started"] is False  # close() shut it

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.engine import PersistentWorkerPool, build_state, plan_chunks
+from repro.engine.blas import blas_budget
 from repro.engine.pool import WORKER_COUNTER_HELP, resolve_telemetry
 from repro.models import build_model
 from repro.obs import get_registry, set_tracing
@@ -214,5 +215,6 @@ class TestLifecycleLogging:
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
         events = {line["event"]: line for line in lines}
         assert events["engine.pool.start"]["workers"] == 2
+        assert events["engine.pool.start"]["blas_threads_per_worker"] == blas_budget(2)
         assert events["engine.state.publish"]["shm_bytes"] > 0
         assert events["engine.pool.shutdown"]["runs"] == 1
